@@ -156,19 +156,45 @@ type DB struct {
 	scrubErr  error
 }
 
+// request is one submitted transaction on its way through a worker
+// queue. Requests are pooled: ExecAsync recycles its request before
+// invoking the callback, Exec after reading the outcome from done (which
+// stays allocated with the request and is reused). A cancelled
+// ExecContext abandons its request to the GC instead, because the
+// worker may still complete it.
 type request struct {
 	fn     TxFunc
 	submit int64
-	done   chan error      // synchronous completion (Exec)
+	done   chan error      // synchronous completion (Exec); capacity 1
 	cb     func(error)     // asynchronous completion (ExecAsync); nil for Exec
 	ctx    context.Context // nil means not cancellable (Exec, ExecAsync)
 }
 
+var requestPool = sync.Pool{New: func() any { return &request{done: make(chan error, 1)} }}
+
+// newRequest takes a request from the pool and binds fn to it.
+func newRequest(fn TxFunc) *request {
+	req := requestPool.Get().(*request)
+	req.fn = fn
+	req.submit = time.Now().UnixNano()
+	return req
+}
+
+// recycle returns a finished request to the pool. The caller must be
+// its last user: the worker for ExecAsync, the submitter for Exec.
+func (req *request) recycle() {
+	req.fn, req.cb, req.ctx = nil, nil, nil
+	requestPool.Put(req)
+}
+
 // finish reports the request's outcome through whichever completion
-// mechanism the submitter chose.
+// mechanism the submitter chose. An asynchronous request is recycled
+// before its callback runs, so the callback may submit again without
+// growing the pool.
 func (req *request) finish(err error) {
-	if req.cb != nil {
-		req.cb(err)
+	if cb := req.cb; cb != nil {
+		req.recycle()
+		cb(err)
 		return
 	}
 	req.done <- err
@@ -551,26 +577,31 @@ func (db *DB) ExecContext(ctx context.Context, fn TxFunc) error {
 	if db.stopped.Load() {
 		return ErrClosed
 	}
-	req := &request{fn: fn, submit: time.Now().UnixNano(), done: make(chan error, 1)}
+	req := newRequest(fn)
 	w := int(db.next.Add(1)) % len(db.queues)
 	if ctx.Done() == nil {
 		// Not cancellable (context.Background()): plain channel operations
 		// keep the hot path free of selectgo.
 		db.queues[w] <- req
-		return <-req.done
+		err := <-req.done
+		req.recycle()
+		return err
 	}
 	req.ctx = ctx
 	select {
 	case db.queues[w] <- req:
 	case <-ctx.Done():
+		req.recycle() // never queued
 		return ctx.Err()
 	}
 	select {
 	case err := <-req.done:
+		req.recycle()
 		return err
 	case <-ctx.Done():
 		// The worker still owns the request; its completion send lands in
-		// the buffered done channel and is dropped with the request.
+		// the buffered done channel and is dropped with the request, which
+		// is abandoned to the GC rather than recycled.
 		return ctx.Err()
 	}
 }
@@ -580,13 +611,17 @@ func (db *DB) ExecContext(ctx context.Context, fn TxFunc) error {
 // goroutine that completed it. done must be quick and must not submit
 // further transactions synchronously, or it stalls that worker. This is
 // the batching path the network server uses to keep every worker busy
-// without one blocked goroutine per in-flight request.
+// without one blocked goroutine per in-flight request. The submission
+// itself allocates nothing in steady state.
+//
+//doppel:hotpath
 func (db *DB) ExecAsync(fn TxFunc, done func(error)) {
 	if db.stopped.Load() {
 		done(ErrClosed)
 		return
 	}
-	req := &request{fn: fn, submit: time.Now().UnixNano(), cb: done}
+	req := newRequest(fn)
+	req.cb = done
 	w := int(db.next.Add(1)) % len(db.queues)
 	db.queues[w] <- req
 }

@@ -396,11 +396,17 @@ func TestRecoverPropertyMixedWorkload(t *testing.T) {
 // end-to-end check that the highest-TID-wins merge is order-independent.
 func TestParallelRecoveryMatchesSequential(t *testing.T) {
 	dir := t.TempDir()
+	// Size rotation is checked once per group-commit batch, so batches
+	// must stay small for the log to span several segments: SyncCommit
+	// makes every Exec wait out its batch, bounding a batch to one
+	// commit per writer goroutine (otherwise fast closed-loop writers
+	// can land most of the log in one or two batches).
 	db, err := OpenErr(Options{
 		Workers:         2,
 		PhaseLength:     2 * time.Millisecond,
 		RedoLog:         dir,
 		MaxSegmentBytes: 2 << 10, // tiny segments: force many rotations
+		SyncCommit:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,11 +24,20 @@
 // A cross-shard transaction runs in three stages:
 //
 //  1. Gather: the body re-executes against a routing transaction that
-//     dispatches each read to the owning shard (one single-key,
-//     read-only shard transaction per distinct key, with
-//     read-your-writes overlay) and buffers each write, tagged with its
-//     owning shard. Splittable updates also read their target so type
-//     errors surface before anything commits, mirroring the embedded
+//     reads each distinct key once from its owning shard, with
+//     read-your-writes overlay, and buffers each write, tagged with
+//     its owning shard. A read goes straight to the shard's store
+//     when the record exists, carries no fence and is not split data
+//     in the shard's current phase: one Silo consistent read
+//     (store.Record.ReadConsistent), with no queueing on a shard
+//     worker. Otherwise — missing record, foreign fence, split data,
+//     a record locked past the spin budget — it falls back to a
+//     single-key, read-only shard transaction, which waits out the
+//     fence or the stash exactly as a single-shard read does. Either
+//     way prepare revalidates every read under its fence, so a read
+//     that races a commit costs a retry, never a wrong answer.
+//     Splittable updates also read their target so type errors
+//     surface before anything commits, mirroring the embedded
 //     joined-phase path.
 //  2. Prepare: the touched shards' commit locks are taken in ascending
 //     shard-ID order — deterministic ordering, so concurrent
@@ -44,7 +53,11 @@
 //     shard, validate+write is a single atomic OCC commit. The
 //     transaction declares the fence token it owns (engine.FenceTx) so
 //     it passes its own fences. When every apply lands, fences release,
-//     then the commit locks.
+//     then the commit locks. The gather transaction, its grouping
+//     scratch and its per-shard apply frames (bodies and completions
+//     bound once) are pooled, so a committed transfer allocates only a
+//     small constant number of objects — its new values and the
+//     goroutine that runs an ExecAsync fallback off the shard worker.
 //
 // # Commit fences
 //

@@ -92,6 +92,9 @@ type Router struct {
 	// calls pools routedCall frames so the single-shard path allocates
 	// nothing in steady state.
 	calls sync.Pool
+	// gathers pools cross-shard gatherTx frames with their read/write
+	// sets, grouping scratch and bound apply frames.
+	gathers sync.Pool
 
 	// fenceSeq generates commit-fence tokens. Tokens only need to be
 	// unique among in-flight cross-shard commits, but a global counter is
@@ -125,6 +128,7 @@ func New(shards []Shard, part Partitioner, stats *metrics.RouterStats) *Router {
 		locks:  make([]sync.Mutex, len(shards)),
 	}
 	r.calls.New = func() any { return newRoutedCall(r) }
+	r.gathers.New = func() any { return &gatherTx{r: r} }
 	return r
 }
 
@@ -169,24 +173,19 @@ func (r *Router) ExecContext(ctx context.Context, fn engine.TxFunc) error {
 
 // ExecAsync is ExecContext's callback form, mirroring DB.ExecAsync:
 // done is invoked exactly once, possibly synchronously, and must not
-// block or submit further transactions synchronously. A cross-shard
-// fallback runs on a fresh goroutine so the shard worker that detected
-// it is never captured.
+// block or submit further transactions synchronously. A single-shard
+// transaction allocates nothing here: the pooled frame carries done and
+// a completion bound once. A cross-shard fallback runs on a fresh
+// goroutine so the shard worker that detected it is never captured.
 func (r *Router) ExecAsync(fn engine.TxFunc, done func(error)) {
 	rc := r.calls.Get().(*routedCall)
+	rc.done = done
 	shard := rc.route(fn)
-	r.shards[shard].ExecAsync(rc.run, func(err error) {
-		foreign := rc.check.foreign
-		rc.release()
-		switch {
-		case err == nil && !foreign:
-			r.stats.SingleShard.Add(1)
-			done(nil)
-		case errors.Is(err, errCrossShard) || foreign:
-			r.stats.Reroutes.Add(1)
-			go func() { done(r.execCross(context.Background(), fn)) }()
-		default:
-			done(err)
-		}
-	})
+	r.shards[shard].ExecAsync(rc.run, rc.complete)
+}
+
+// crossAsync runs fn through the cross-shard protocol on its own
+// goroutine and reports the outcome to done.
+func (r *Router) crossAsync(fn engine.TxFunc, done func(error)) {
+	go func() { done(r.execCross(context.Background(), fn)) }()
 }

@@ -38,9 +38,15 @@ type gatherWrite struct {
 	op    store.Op
 }
 
+// gatherReadSpins bounds a store-direct gather read's wait for a locked
+// record before it falls back to a shard transaction (the same budget
+// the engine's own OCC reads use).
+const gatherReadSpins = 128
+
 // gatherTx implements engine.Tx for the gather stage of the cross-shard
-// protocol: reads dispatch to the owning shard, writes buffer. It is
-// not concurrency-safe; each cross-shard transaction owns one.
+// protocol: reads go to the owning shard, writes buffer. It is not
+// concurrency-safe; each cross-shard transaction owns one, taken from
+// the router's pool for the transaction's lifetime.
 type gatherTx struct {
 	r      *Router
 	ctx    context.Context
@@ -64,9 +70,18 @@ type gatherTx struct {
 	writesBy []gatherWrite
 	readOff  []int
 	writeOff []int
+
+	// Commit-stage apply state, reused across rounds and transactions:
+	// one frame per shard with writes, its closures bound once.
+	applies  []*applyFrame
+	applyWG  sync.WaitGroup
+	applyMu  sync.Mutex
+	applyErr error
 }
 
 func (g *gatherTx) reset() {
+	clear(g.reads) // drop the previous round's value pointers
+	clear(g.writes)
 	g.reads = g.reads[:0]
 	g.writes = g.writes[:0]
 	if g.readIdx == nil {
@@ -75,6 +90,41 @@ func (g *gatherTx) reset() {
 		clear(g.readIdx)
 	}
 	g.infra = nil
+}
+
+// release returns g to the router's pool once its transaction is over.
+func (g *gatherTx) release() {
+	g.reset()
+	clear(g.readsBy)
+	clear(g.writesBy)
+	g.ctx = nil
+	g.r.gathers.Put(g)
+}
+
+// readShard returns key's committed value on shard for the gather
+// stage. A record that exists, carries no commit fence and is not split
+// data in the shard's current phase is read straight from the shard's
+// store with the Silo consistent-read protocol, without queueing on a
+// shard worker. Anything else — a missing record, a fenced one, split
+// data, a record locked past the spin budget — falls back to a shard
+// transaction, which waits out fences and stashes exactly as a
+// single-shard read does. Either way prepare revalidates the value
+// under its own fence, so a read that races a commit only costs a
+// retry.
+func (r *Router) readShard(ctx context.Context, shard int, key string) (*store.Value, error) {
+	sh := r.shards[shard]
+	if rec := sh.Store().Get(key); rec != nil && rec.FenceToken() == 0 && !sh.SplitActive(key) {
+		if v, _, ok := rec.ReadConsistent(gatherReadSpins); ok {
+			return v, nil
+		}
+	}
+	var v *store.Value
+	err := sh.ExecContext(ctx, func(tx engine.Tx) error {
+		got, err := tx.Get(key)
+		v = got
+		return err
+	})
+	return v, err
 }
 
 // load returns key's value as this transaction sees it: the gathered
@@ -90,12 +140,7 @@ func (g *gatherTx) load(key string) (*store.Value, error) {
 		base = g.reads[i].val
 	} else {
 		shard := g.r.ShardOf(key)
-		var v *store.Value
-		err := g.r.shards[shard].ExecContext(g.ctx, func(tx engine.Tx) error {
-			got, err := tx.Get(key)
-			v = got
-			return err
-		})
+		v, err := g.r.readShard(g.ctx, shard, key)
 		if err != nil {
 			g.infra = err
 			return nil, err
@@ -287,7 +332,9 @@ func (g *gatherTx) shardWrites(i int) []gatherWrite {
 // prepare+commit under the shard locks, retrying the whole round while
 // prepare finds stale reads or foreign fences.
 func (r *Router) execCross(ctx context.Context, fn engine.TxFunc) error {
-	g := &gatherTx{r: r, ctx: ctx}
+	g := r.gathers.Get().(*gatherTx)
+	g.ctx = ctx
+	defer g.release()
 	backoff := 2 * time.Microsecond
 	for {
 		g.reset()
@@ -443,49 +490,79 @@ func (r *Router) prepare(g *gatherTx, tok uint64) (bool, error) {
 // mismatch inside apply is a fence-protocol invariant violation
 // (errApplyStale), counted in CrossShardApplyLost.
 func (r *Router) apply(g *gatherTx, tok uint64) error {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
+	g.applyErr = nil
+	n := 0
 	for si, s := range g.shardIDs {
 		writes := g.shardWrites(si)
 		if len(writes) == 0 {
 			continue
 		}
-		reads := g.shardReads(si)
-		shard := s
-		wg.Add(1)
-		r.shards[s].ExecAsync(func(tx engine.Tx) error {
-			if tok != 0 {
-				if ft, ok := tx.(engine.FenceTx); ok {
-					ft.SetFenceToken(tok)
-				}
-			}
-			for _, rd := range reads {
-				cur, err := tx.Get(rd.key)
-				if err != nil {
-					return err
-				}
-				if !cur.Equal(rd.val) {
-					return errApplyStale
-				}
-			}
-			return replayOps(tx, writes)
-		}, func(err error) {
-			if err != nil {
-				r.stats.CrossShardApplyLost.Add(1)
-				mu.Lock()
-				if first == nil {
-					first = fmt.Errorf("router: cross-shard commit applied partially (shard %d failed): %w", shard, err)
-				}
-				mu.Unlock()
-			}
-			wg.Done()
-		})
+		if n == len(g.applies) {
+			g.applies = append(g.applies, newApplyFrame(g))
+		}
+		a := g.applies[n]
+		n++
+		a.shard, a.tok, a.reads, a.writes = s, tok, g.shardReads(si), writes
+		g.applyWG.Add(1)
+		r.shards[s].ExecAsync(a.run, a.done)
 	}
-	wg.Wait()
-	return first
+	g.applyWG.Wait()
+	return g.applyErr
+}
+
+// applyFrame is one shard's commit-stage apply transaction. Its body
+// and completion are bound once when the frame is created, so a
+// cross-shard commit's fan-out allocates nothing once the owning
+// gatherTx has grown its frames.
+type applyFrame struct {
+	g      *gatherTx
+	shard  int
+	tok    uint64
+	reads  []gatherRead
+	writes []gatherWrite
+	run    engine.TxFunc
+	done   func(error)
+}
+
+func newApplyFrame(g *gatherTx) *applyFrame {
+	a := &applyFrame{g: g}
+	a.run = a.body
+	a.done = a.complete
+	return a
+}
+
+// body revalidates the shard's gathered reads and replays its writes
+// as the fence owner (engine.FenceTx), passing the fence checks
+// everyone else aborts on.
+func (a *applyFrame) body(tx engine.Tx) error {
+	if a.tok != 0 {
+		if ft, ok := tx.(engine.FenceTx); ok {
+			ft.SetFenceToken(a.tok)
+		}
+	}
+	for _, rd := range a.reads {
+		cur, err := tx.Get(rd.key)
+		if err != nil {
+			return err
+		}
+		if !cur.Equal(rd.val) {
+			return errApplyStale
+		}
+	}
+	return replayOps(tx, a.writes)
+}
+
+func (a *applyFrame) complete(err error) {
+	g := a.g
+	if err != nil {
+		g.r.stats.CrossShardApplyLost.Add(1)
+		g.applyMu.Lock()
+		if g.applyErr == nil {
+			g.applyErr = fmt.Errorf("router: cross-shard commit applied partially (shard %d failed): %w", a.shard, err)
+		}
+		g.applyMu.Unlock()
+	}
+	g.applyWG.Done()
 }
 
 // unfenceAll releases this round's fences. Unfence is token-guarded, so

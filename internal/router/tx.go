@@ -8,9 +8,9 @@ import (
 )
 
 // routedCall is the pooled per-transaction routing frame. Its run
-// closure and checkTx are built once, when the frame is first pooled,
-// so the single-shard fast path performs no allocation per transaction:
-// route() only rewrites fields of an existing frame.
+// closure, its completion and checkTx are built once, when the frame is
+// first pooled, so the single-shard fast path performs no allocation
+// per transaction: route() only rewrites fields of an existing frame.
 //
 // Ownership: between route() and the shard's completion callback the
 // executing worker may read and write the frame (through run/check), so
@@ -20,10 +20,13 @@ import (
 type routedCall struct {
 	r     *Router
 	fn    engine.TxFunc
+	done  func(error) // ExecAsync's caller completion; nil for ExecContext
 	shard int
 	probe probeTx
 	check checkTx
 	run   engine.TxFunc
+	// complete is finish bound once, handed to the shard's ExecAsync.
+	complete func(error)
 }
 
 func newRoutedCall(r *Router) *routedCall {
@@ -36,7 +39,30 @@ func newRoutedCall(r *Router) *routedCall {
 		}
 		return err
 	}
+	rc.complete = rc.finish
 	return rc
+}
+
+// finish is the shard completion of Router.ExecAsync: it recycles the
+// frame, then reports the outcome or hands a cross-shard body to the
+// cross-shard protocol on a fresh goroutine, so the shard worker that
+// detected it is never captured.
+//
+//doppel:hotpath
+func (rc *routedCall) finish(err error) {
+	r, fn, done := rc.r, rc.fn, rc.done
+	foreign := rc.check.foreign
+	rc.release()
+	switch {
+	case err == nil && !foreign:
+		r.stats.SingleShard.Add(1)
+		done(nil)
+	case errors.Is(err, errCrossShard) || foreign:
+		r.stats.Reroutes.Add(1)
+		r.crossAsync(fn, done)
+	default:
+		done(err)
+	}
 }
 
 // route binds fn to the frame and picks its candidate shard from the
@@ -57,7 +83,7 @@ func (rc *routedCall) route(fn engine.TxFunc) int {
 }
 
 func (rc *routedCall) release() {
-	rc.fn = nil
+	rc.fn, rc.done = nil, nil
 	rc.check.inner = nil
 	rc.r.calls.Put(rc)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"net"
@@ -132,25 +131,31 @@ func (c *Client) issue(name string, args []Arg, done chan *Call, explicit bool, 
 		c.nextID++
 	}
 	call.id = id
-	req := encodeRequest(id, name, args)
-	if len(req) > c.maxFrame {
-		// Fail just this call; sending it would make the server drop the
-		// whole connection (and a frame over 4 GiB would wrap the length
-		// header and desync the stream).
-		c.mu.Unlock()
-		call.Err = &FrameSizeError{Size: len(req), Limit: c.maxFrame}
-		call.finish()
-		return call
-	}
 	c.pending[id] = call
 	c.sendWG.Add(1) // under mu: teardown sets c.err first, so no send starts after stop
 	c.mu.Unlock()
-	if !c.fw.send(req) {
+	size, ok := c.fw.sendRequest(id, name, args, c.maxFrame)
+	c.sendWG.Done()
+	switch {
+	case size > c.maxFrame:
+		// Fail just this call; sending it would make the server drop the
+		// whole connection. A teardown racing this may already have
+		// failed it.
+		c.mu.Lock()
+		owned := c.pending[id] == call
+		if owned {
+			delete(c.pending, id)
+		}
+		c.mu.Unlock()
+		if owned {
+			call.Err = &FrameSizeError{Size: size, Limit: c.maxFrame}
+			call.finish()
+		}
+	case !ok:
 		// The server stopped draining requests; tear the connection
 		// down, which fails this call (and the rest) via the read loop.
 		_ = c.conn.Close()
 	}
-	c.sendWG.Done()
 	return call
 }
 
@@ -190,10 +195,10 @@ func (c *Client) Err() error {
 // readLoop matches responses to pending calls until the connection
 // dies, then fails everything still outstanding.
 func (c *Client) readLoop(maxFrame int) {
-	br := bufio.NewReaderSize(c.conn, 64<<10)
+	fr := newFrameReader(c.conn, maxFrame)
 	var wireErr error
 	for {
-		payload, err := readFrame(br, maxFrame)
+		payload, err := fr.next()
 		if err != nil {
 			wireErr = err
 			break

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,12 @@ import (
 // Handler executes one named procedure inside a transaction. The
 // returned Arg is sent back to the client on commit; return Nil for
 // void procedures.
+//
+// The args slice is valid only until the transaction completes: the
+// server decodes every request into a pooled frame and reuses its
+// argument array for a later request. Copy the slice (not the values)
+// to keep it longer. Byte-string values are the handler's own — each
+// request's copy — so storing args[i].Bytes() is safe.
 type Handler func(tx doppel.Tx, args []Arg) (Arg, error)
 
 // Backend is the database surface the server drives. Both *doppel.DB
@@ -221,161 +226,241 @@ func (s *Server) acceptLoop() {
 // serveConn pumps one client connection: the read loop decodes requests
 // and fans each straight into the database's worker pool via ExecAsync
 // (no goroutine per request), while a frameWriter streams completions
-// back as transactions commit — possibly out of request order. sem
-// bounds in-flight requests per connection; response sends never block,
-// so a completion callback can never stall a database worker on a slow
-// client.
+// back as transactions commit — possibly out of request order. The
+// connection's pool of request frames bounds its in-flight requests;
+// response sends never block, so a completion callback can never stall
+// a database worker on a slow client.
 func (s *Server) serveConn(conn net.Conn) {
-	fw := startFrameWriterCfg(conn, frameWriterConfig{
-		flushEvery:   s.opts.FlushEvery,
-		conn:         conn,
-		writeTimeout: s.opts.WriteTimeout,
-		// A write timeout or broken pipe means the peer is gone; close so
-		// the read loop below stops serving it.
-		onBroken: func() { _ = conn.Close() },
-	})
-	sem := make(chan struct{}, s.opts.MaxInFlight)
-	var reqWG sync.WaitGroup
-	var sess *session
-	br := bufio.NewReaderSize(conn, 64<<10)
-	for {
-		if s.closed.Load() {
-			break // draining: stop decoding, flush what's in flight
-		}
-		if t := s.opts.ReadTimeout; t > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(t))
-		}
-		payload, err := readFrame(br, s.opts.MaxFrame)
-		if err != nil {
-			break // EOF, peer reset, stall, or oversized frame: drop the connection
-		}
-		id, name, args, err := decodeRequest(payload)
-		if err != nil {
-			break // corrupt stream: nothing after this point can be trusted
-		}
-		if name == sessionProc {
-			token := ""
-			if len(args) > 0 {
-				token = string(args[0].Bytes())
-			}
-			sess = s.session(token)
-			if !fw.send(encodeOKResponse(id, Nil)) {
-				break
-			}
-			continue
-		}
-		s.mu.RLock()
-		d := s.directs[name]
-		var h Handler
-		if d == nil {
-			h = s.handlers[name]
-		}
-		s.mu.RUnlock()
-		if d == nil && h == nil {
-			s.stats.RecordError()
-			if !fw.send(encodeErrResponse(id, statusUnknownProc, name)) {
-				break
-			}
-			continue
-		}
-		if sess != nil {
-			resp, dup := sess.claim(id, func(resp []byte) {
-				if !fw.send(resp) {
-					_ = conn.Close()
-				}
-			})
-			if dup {
-				// Replay the cached response, or — resp nil — stay parked
-				// until the in-flight original completes.
-				if resp != nil && !fw.send(resp) {
-					break
-				}
-				continue
-			}
-		}
-		if d != nil {
-			sem <- struct{}{}
-			reqWG.Add(1)
-			go func() {
-				defer reqWG.Done()
-				start := time.Now()
-				result, derr := d(args)
-				s.stats.Record(time.Since(start).Nanoseconds(), derr == nil)
-				s.deliver(sess, fw, conn, id, s.encodeResult(id, result, derr))
-				<-sem
-			}()
-			continue
-		}
-		if s.inflight != nil {
-			select {
-			case s.inflight <- struct{}{}:
-			default:
-				// Shed: answer ErrOverloaded now instead of queueing behind
-				// saturated workers. Never cache the rejection — the
-				// retry must re-execute.
-				s.sheds.Add(1)
-				s.stats.RecordError()
-				if sess != nil {
-					sess.abandon(id)
-				}
-				if !fw.send(encodeErrResponse(id, statusErrOverloaded, doppel.ErrOverloaded.Error())) {
-					break
-				}
-				continue
-			}
-		}
-		sem <- struct{}{} // bounds in-flight executions for this connection
-		reqWG.Add(1)
-		start := time.Now()
-		var result Arg
-		s.db.ExecAsync(func(tx doppel.Tx) error {
-			var herr error
-			result, herr = h(tx, args)
-			return herr
-		}, func(err error) {
-			s.stats.Record(time.Since(start).Nanoseconds(), err == nil)
-			s.deliver(sess, fw, conn, id, s.encodeResult(id, result, err))
-			if s.inflight != nil {
-				<-s.inflight
-			}
-			<-sem
-			reqWG.Done()
-		})
+	c := &serverConn{
+		s:    s,
+		conn: conn,
+		fw: startFrameWriterCfg(conn, frameWriterConfig{
+			flushEvery:   s.opts.FlushEvery,
+			conn:         conn,
+			writeTimeout: s.opts.WriteTimeout,
+			// A write timeout or broken pipe means the peer is gone; close
+			// so the read loop below stops serving it.
+			onBroken: func() { _ = conn.Close() },
+		}),
+		fr:   newFrameReader(conn, s.opts.MaxFrame),
+		free: make(chan *reqFrame, s.opts.MaxInFlight),
 	}
-	reqWG.Wait()
-	fw.close()
+	c.sendCached = c.sendOrDrop
+	// Stop on EOF, peer reset, stall, oversized frame or corrupt stream
+	// (nothing after it can be trusted) — and, when draining, before
+	// decoding anything new; then flush what is in flight.
+	for !s.closed.Load() && c.serveNext() {
+	}
+	c.wg.Wait()
+	c.fw.close()
+}
+
+// serverConn is one client connection's serving state, shared by its
+// read loop and the completions of its in-flight requests.
+type serverConn struct {
+	s    *Server
+	conn net.Conn
+	fw   *frameWriter
+	fr   *frameReader
+	sess *session // bound by the session procedure; read loop only
+	argv [8]Arg   // decode scratch, copied into a frame on dispatch
+
+	// free holds request frames whose requests completed. Its capacity
+	// is MaxInFlight: frames are created lazily up to it, after which a
+	// new request waits for a completion to recycle one.
+	free   chan *reqFrame
+	frames int // frames created; read loop only
+
+	wg         sync.WaitGroup // in-flight requests
+	sendCached func([]byte)   // sendOrDrop bound once, for session waiters
+}
+
+// reqFrame is the pooled state of one in-flight request: everything its
+// transaction body and completion need, bound once when the frame is
+// created, so dispatching a transactional request allocates nothing.
+// The read loop fills a frame and hands it to the database; the frame
+// returns to its connection's pool only after its completion ran.
+type reqFrame struct {
+	c      *serverConn
+	id     uint64
+	h      Handler
+	d      DirectHandler
+	sess   *session
+	argv   [4]Arg // backing array for args
+	args   []Arg
+	result Arg
+	start  time.Time
+	body   doppel.TxFunc // run, bound once
+	done   func(error)   // complete, bound once
+}
+
+// newReqFrame runs once per frame, not per request; it stays out of
+// line so its allocations never appear in serveNext's hot body.
+//
+//go:noinline
+func newReqFrame(c *serverConn) *reqFrame {
+	f := &reqFrame{c: c}
+	f.body = f.run
+	f.done = f.complete
+	return f
+}
+
+// frame returns a free request frame, creating one while the connection
+// is below MaxInFlight and otherwise waiting for a completion.
+func (c *serverConn) frame() *reqFrame {
+	select {
+	case f := <-c.free:
+		return f
+	default:
+	}
+	if c.frames < cap(c.free) {
+		c.frames++
+		return newReqFrame(c)
+	}
+	return <-c.free
+}
+
+// serveNext reads, decodes and dispatches one request. False means the
+// connection must be dropped.
+//
+//doppel:hotpath
+func (c *serverConn) serveNext() bool {
+	s := c.s
+	if t := s.opts.ReadTimeout; t > 0 {
+		_ = c.conn.SetReadDeadline(time.Now().Add(t))
+	}
+	payload, err := c.fr.next()
+	if err != nil {
+		return false
+	}
+	id, name, args, err := decodeRequest(payload, c.argv[:0])
+	if err != nil {
+		return false
+	}
+	if string(name) == sessionProc {
+		c.bindSession(args)
+		return c.fw.sendResponse(id, Nil, nil, s.opts.MaxFrame)
+	}
+	s.mu.RLock()
+	d := s.directs[string(name)]
+	var h Handler
+	if d == nil {
+		h = s.handlers[string(name)]
+	}
+	s.mu.RUnlock()
+	if d == nil && h == nil {
+		s.stats.RecordError()
+		return c.fw.send(unknownProcResponse(id, name))
+	}
+	if c.sess != nil {
+		resp, dup := c.sess.claim(id, c.sendCached)
+		if dup {
+			// Replay the cached response, or — resp nil — stay parked
+			// until the in-flight original completes.
+			return resp == nil || c.fw.send(resp)
+		}
+	}
+	if d == nil && s.inflight != nil {
+		select {
+		case s.inflight <- struct{}{}:
+		default:
+			// Shed: answer ErrOverloaded now instead of queueing behind
+			// saturated workers. Never cache the rejection — the retry
+			// must re-execute.
+			s.sheds.Add(1)
+			s.stats.RecordError()
+			if c.sess != nil {
+				c.sess.abandon(id)
+			}
+			return c.fw.sendResponse(id, Nil, doppel.ErrOverloaded, s.opts.MaxFrame)
+		}
+	}
+	f := c.frame() // bounds in-flight requests for this connection
+	f.id, f.h, f.d, f.sess = id, h, d, c.sess
+	f.args = append(f.argv[:0], args...)
+	c.wg.Add(1)
+	f.start = time.Now()
+	if d != nil {
+		c.runDirect(f)
+		return true
+	}
+	s.db.ExecAsync(f.body, f.done)
+	return true
+}
+
+// bindSession attaches the connection to the dedup session the
+// session procedure names.
+func (c *serverConn) bindSession(args []Arg) {
+	token := ""
+	if len(args) > 0 {
+		token = string(args[0].Bytes())
+	}
+	c.sess = c.s.session(token)
+}
+
+// unknownProcResponse encodes the reply to a call of an unregistered
+// procedure.
+func unknownProcResponse(id uint64, name []byte) []byte {
+	return appendResponse(nil, id, statusUnknownProc, Nil, string(name))
+}
+
+// runDirect executes a direct handler on its own goroutine.
+func (c *serverConn) runDirect(f *reqFrame) {
+	go func() {
+		var err error
+		f.result, err = f.d(f.args)
+		f.complete(err)
+	}()
+}
+
+// run is a transactional request's body.
+func (f *reqFrame) run(tx doppel.Tx) error {
+	var err error
+	f.result, err = f.h(tx, f.args)
+	return err
+}
+
+// complete records and delivers a finished request's response, then
+// recycles the frame.
+//
+//doppel:hotpath
+func (f *reqFrame) complete(err error) {
+	c := f.c
+	s := c.s
+	s.stats.Record(time.Since(f.start).Nanoseconds(), err == nil)
+	c.deliver(f.sess, f.id, f.result, err)
+	if f.d == nil && s.inflight != nil {
+		<-s.inflight
+	}
+	clear(f.argv[:]) // drop byte-string arguments and results
+	f.h, f.d, f.sess, f.args, f.result = nil, nil, nil, nil, Nil
+	c.free <- f // never blocks: at most cap(free) frames exist
+	c.wg.Done()
 }
 
 // deliver routes one completed response: through the session (which
-// caches it and notifies every parked duplicate, including this
-// connection) or straight to the frame writer. A send failure means the
-// client stopped draining responses; drop it rather than stall a
-// database worker shared by every client.
-func (s *Server) deliver(sess *session, fw *frameWriter, conn net.Conn, id uint64, resp []byte) {
+// caches its own encoded copy and notifies every parked duplicate,
+// including this connection) or encoded straight into the frame writer.
+// A send failure means the client stopped draining responses; drop it
+// rather than stall a database worker shared by every client.
+//
+//doppel:hotpath
+func (c *serverConn) deliver(sess *session, id uint64, result Arg, err error) {
 	if sess != nil {
-		sess.complete(id, resp)
+		sess.complete(id, appendResult(nil, id, result, err, c.s.opts.MaxFrame))
 		return
 	}
-	if !fw.send(resp) {
-		_ = conn.Close()
+	if !c.fw.sendResponse(id, result, err, c.s.opts.MaxFrame) {
+		_ = c.conn.Close()
 	}
 }
 
-// encodeResult encodes one completed request's response, downgrading
-// results too large for the connection's frame limit to an error. The
-// downgrade message states that the transaction committed: the client
-// must not treat it as a safe-to-retry failure.
-func (s *Server) encodeResult(id uint64, result Arg, err error) []byte {
-	if err != nil {
-		return encodeErrResponse(id, statusForError(err), err.Error())
+// sendOrDrop queues an encoded response, dropping the connection when
+// the client has stopped draining them.
+func (c *serverConn) sendOrDrop(resp []byte) {
+	if !c.fw.send(resp) {
+		_ = c.conn.Close()
 	}
-	resp := encodeOKResponse(id, result)
-	if len(resp) > s.opts.MaxFrame {
-		msg := "transaction committed but result dropped: " +
-			(&FrameSizeError{Size: len(resp), Limit: s.opts.MaxFrame}).Error()
-		return encodeErrResponse(id, statusErr, msg)
-	}
-	return resp
 }
 
 // Close stops accepting, closes open connections, and waits for

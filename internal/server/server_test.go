@@ -226,7 +226,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 
 	// The client side enforces the same bound on responses.
 	t.Run("client", func(t *testing.T) {
-		if _, err := readFrame(readerOf(t, 1<<31), 4096); err == nil {
+		if _, err := newFrameReader(readerOf(t, 1<<31), 4096).next(); err == nil {
 			t.Fatal("oversized frame accepted")
 		} else {
 			var fse *FrameSizeError
@@ -347,8 +347,8 @@ func TestOversizedRequestFailsCall(t *testing.T) {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	id, name, args, err := decodeRequest(encodeRequest(42, "proc", []Arg{Str("a"), Str(""), Int(-7), Bytes([]byte{1, 2}), Nil}))
-	if err != nil || id != 42 || name != "proc" || len(args) != 5 {
+	id, name, args, err := decodeRequest(appendRequest(nil, 42, "proc", []Arg{Str("a"), Str(""), Int(-7), Bytes([]byte{1, 2}), Nil}), nil)
+	if err != nil || id != 42 || string(name) != "proc" || len(args) != 5 {
 		t.Fatalf("%d %q %v %v", id, name, args, err)
 	}
 	if n, _ := args[2].Int64(); n != -7 {
@@ -358,24 +358,24 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("args = %v", args)
 	}
 
-	rid, res, callErr, wireErr := decodeResponse(encodeOKResponse(9, Int(3)))
+	rid, res, callErr, wireErr := decodeResponse(appendResponse(nil, 9, statusOK, Int(3), ""))
 	if wireErr != nil || callErr != nil || rid != 9 {
 		t.Fatalf("%d %v %v %v", rid, res, callErr, wireErr)
 	}
 	if n, _ := res.Int64(); n != 3 {
 		t.Fatalf("res = %v", res)
 	}
-	rid, _, callErr, wireErr = decodeResponse(encodeErrResponse(10, statusErr, "bad"))
+	rid, _, callErr, wireErr = decodeResponse(appendResponse(nil, 10, statusErr, Nil, "bad"))
 	if wireErr != nil || rid != 10 || callErr == nil || callErr.Error() != "bad" {
 		t.Fatalf("%d %v %v", rid, callErr, wireErr)
 	}
-	rid, _, callErr, wireErr = decodeResponse(encodeErrResponse(11, statusUnknownProc, "p"))
+	rid, _, callErr, wireErr = decodeResponse(appendResponse(nil, 11, statusUnknownProc, Nil, "p"))
 	var unknown *UnknownProcedureError
 	if wireErr != nil || rid != 11 || !errors.As(callErr, &unknown) {
 		t.Fatalf("%d %v %v", rid, callErr, wireErr)
 	}
 
-	if _, _, _, err := decodeRequest([]byte{0}); err == nil {
+	if _, _, _, err := decodeRequest([]byte{0}, nil); err == nil {
 		t.Fatal("truncated request should fail")
 	}
 	if _, _, _, wireErr := decodeResponse(nil); wireErr == nil {
@@ -383,5 +383,54 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if _, _, _, wireErr := decodeResponse([]byte{1, 99}); wireErr == nil {
 		t.Fatal("unknown status should fail")
+	}
+}
+
+// TestStoredByteArgsSurviveBufferReuse: the server decodes every frame
+// into one reused read buffer and reuses request frames, so a handler
+// that stores args[i].Bytes() directly (store.BytesValue keeps the
+// slice) must still read back exactly what each request sent after
+// many later requests have passed through the same buffers.
+func TestStoredByteArgsSurviveBufferReuse(t *testing.T) {
+	db := doppel.Open(doppel.Options{Workers: 2})
+	defer db.Close()
+	s := New(db)
+	s.Register("putb", func(tx doppel.Tx, args []Arg) (Arg, error) {
+		return Nil, tx.PutBytes(args[0].String(), args[1].Bytes())
+	})
+	s.Register("getb", func(tx doppel.Tx, args []Arg) (Arg, error) {
+		b, err := tx.GetBytes(args[0].String())
+		return Bytes(b), err
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 500
+	value := func(i int) string { return fmt.Sprintf("value-%d-%s", i, string(make([]byte, i%64))) }
+	done := make(chan *Call, n)
+	for i := 0; i < n; i++ {
+		c.Go("putb", []Arg{Str(fmt.Sprintf("k%d", i)), Str(value(i))}, done)
+	}
+	for i := 0; i < n; i++ {
+		if call := <-done; call.Err != nil {
+			t.Fatal(call.Err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		got, err := c.Call("getb", Str(fmt.Sprintf("k%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got.Bytes()) != value(i) {
+			t.Fatalf("k%d = %q, want %q", i, got.Bytes(), value(i))
+		}
 	}
 }

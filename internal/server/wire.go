@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -207,33 +208,80 @@ func (e *FrameSizeError) Error() string {
 
 // --- framing ---
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// frameHeader is the length prefix's size in bytes.
+const frameHeader = 4
+
+// maxRetainedFrame bounds the read buffer a frameReader keeps between
+// frames; a larger payload is read into a one-off buffer instead, so one
+// big request does not pin MaxFrame bytes for the connection's lifetime.
+const maxRetainedFrame = 64 << 10
+
+// frameReader reads length-prefixed frames from one connection into a
+// single reused payload buffer. A payload is valid only until the next
+// call to next: decoders copy out whatever must outlive it (byte-string
+// arguments and results do).
+type frameReader struct {
+	br       *bufio.Reader
+	maxFrame int
+	hdr      [frameHeader]byte
+	buf      []byte
 }
 
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func newFrameReader(r io.Reader, maxFrame int) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, 64<<10), maxFrame: maxFrame}
+}
+
+// next returns the next frame's payload. A frame announcing more than
+// maxFrame bytes is rejected with a FrameSizeError before any
+// allocation.
+//
+//doppel:hotpath
+func (fr *frameReader) next() ([]byte, error) {
+	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if int64(n) > int64(maxFrame) {
-		return nil, &FrameSizeError{Size: int(n), Limit: maxFrame}
+	n := int64(binary.BigEndian.Uint32(fr.hdr[:]))
+	if n > int64(fr.maxFrame) {
+		return nil, frameTooLarge(n, fr.maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload := fr.payload(int(n))
+	if _, err := io.ReadFull(fr.br, payload); err != nil {
 		return nil, err
 	}
 	return payload, nil
 }
 
+// payload returns an n-byte buffer for the next frame: the reader's
+// own, grown on demand up to maxRetainedFrame.
+func (fr *frameReader) payload(n int) []byte {
+	if n <= cap(fr.buf) {
+		return fr.buf[:n]
+	}
+	return fr.grow(n)
+}
+
+// The cold paths below stay out of line so their allocations never
+// appear in the hot-path bodies that call them.
+
+//go:noinline
+func (fr *frameReader) grow(n int) []byte {
+	if n > maxRetainedFrame {
+		return make([]byte, n)
+	}
+	fr.buf = make([]byte, n)
+	return fr.buf
+}
+
+//go:noinline
+func frameTooLarge(n int64, limit int) error {
+	return &FrameSizeError{Size: int(n), Limit: limit}
+}
+
 // --- payload encoding ---
+//
+// Encoders append to a caller-supplied buffer, so the frame writer
+// encodes straight into its pending output buffer; decoders read from
+// the frame reader's reused buffer and copy what they keep.
 
 func appendArg(buf []byte, a Arg) []byte {
 	switch a.kind {
@@ -249,6 +297,9 @@ func appendArg(buf []byte, a Arg) []byte {
 	}
 }
 
+// readArg decodes one argument. A byte string is copied out of buf:
+// buf is the connection's reused read buffer, while handlers may keep
+// args[i].Bytes() (store.BytesValue keeps the slice it is given).
 func readArg(buf []byte) (Arg, []byte, error) {
 	if len(buf) < 1 {
 		return Nil, nil, errors.New("server: truncated argument tag")
@@ -278,8 +329,11 @@ func readArg(buf []byte) (Arg, []byte, error) {
 	}
 }
 
-func encodeRequest(id uint64, name string, args []Arg) []byte {
-	buf := binary.AppendUvarint(nil, id)
+// appendRequest appends one request payload to buf.
+//
+//doppel:hotpath
+func appendRequest(buf []byte, id uint64, name string, args []Arg) []byte {
+	buf = binary.AppendUvarint(buf, id)
 	buf = binary.AppendUvarint(buf, uint64(len(name)))
 	buf = append(buf, name...)
 	buf = binary.AppendUvarint(buf, uint64(len(args)))
@@ -289,50 +343,79 @@ func encodeRequest(id uint64, name string, args []Arg) []byte {
 	return buf
 }
 
-func decodeRequest(buf []byte) (id uint64, name string, args []Arg, err error) {
+// decodeRequest decodes one request payload. name aliases buf; args are
+// appended to argv (pass a reused backing array to decode without
+// allocating) and never alias buf.
+func decodeRequest(buf []byte, argv []Arg) (id uint64, name []byte, args []Arg, err error) {
 	id, w := binary.Uvarint(buf)
 	if w <= 0 {
-		return 0, "", nil, errors.New("server: truncated request ID")
+		return 0, nil, nil, errors.New("server: truncated request ID")
 	}
 	buf = buf[w:]
 	nl, w := binary.Uvarint(buf)
 	if w <= 0 || nl > uint64(len(buf)-w) {
-		return 0, "", nil, errors.New("server: truncated procedure name")
+		return 0, nil, nil, errors.New("server: truncated procedure name")
 	}
 	buf = buf[w:]
-	name = string(buf[:nl])
+	name = buf[:nl:nl]
 	buf = buf[nl:]
 	argc, w := binary.Uvarint(buf)
 	if w <= 0 {
-		return 0, "", nil, errors.New("server: truncated arg count")
+		return 0, nil, nil, errors.New("server: truncated arg count")
 	}
 	if argc > maxArgs {
-		return 0, "", nil, fmt.Errorf("server: %d args exceeds limit %d", argc, maxArgs)
+		return 0, nil, nil, fmt.Errorf("server: %d args exceeds limit %d", argc, maxArgs)
 	}
 	buf = buf[w:]
-	args = make([]Arg, 0, argc)
+	args = argv[:0]
 	for i := uint64(0); i < argc; i++ {
 		var a Arg
 		a, buf, err = readArg(buf)
 		if err != nil {
-			return 0, "", nil, err
+			return 0, nil, nil, err
 		}
 		args = append(args, a)
 	}
 	return id, name, args, nil
 }
 
-func encodeOKResponse(id uint64, result Arg) []byte {
-	buf := binary.AppendUvarint(nil, id)
-	buf = append(buf, statusOK)
-	return appendArg(buf, result)
-}
-
-func encodeErrResponse(id uint64, status byte, msg string) []byte {
-	buf := binary.AppendUvarint(nil, id)
+// appendResponse appends one response payload to buf: result for
+// statusOK, msg for every other status.
+//
+//doppel:hotpath
+func appendResponse(buf []byte, id uint64, status byte, result Arg, msg string) []byte {
+	buf = binary.AppendUvarint(buf, id)
 	buf = append(buf, status)
+	if status == statusOK {
+		return appendArg(buf, result)
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(msg)))
 	return append(buf, msg...)
+}
+
+// appendResult appends the response to a completed request: the
+// handler's error with its status, or the result — downgraded to an
+// error when its payload would exceed limit. The downgrade message
+// states that the transaction committed: the client must not treat it
+// as a safe-to-retry failure.
+//
+//doppel:hotpath
+func appendResult(buf []byte, id uint64, result Arg, err error, limit int) []byte {
+	if err != nil {
+		return appendResponse(buf, id, statusForError(err), Nil, err.Error())
+	}
+	start := len(buf)
+	buf = appendResponse(buf, id, statusOK, result, "")
+	if size := len(buf) - start; size > limit {
+		return appendResponse(buf[:start], id, statusErr, Nil, droppedResult(size, limit))
+	}
+	return buf
+}
+
+//go:noinline
+func droppedResult(size, limit int) string {
+	return "transaction committed but result dropped: " +
+		(&FrameSizeError{Size: size, Limit: limit}).Error()
 }
 
 // decodeResponse splits per-call failures (callErr: the procedure

@@ -1,15 +1,15 @@
 package server
 
 import (
-	"bufio"
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
 	"time"
 )
 
-// flushThreshold is the buffered-byte level at which the writer flushes
-// mid-batch instead of accumulating further.
+// flushThreshold is the pending-byte level at which the flusher stops
+// waiting out FlushEvery for stragglers and writes at once.
 const flushThreshold = 256 << 10
 
 // maxPendingBytes bounds the bytes queued behind one connection's
@@ -18,21 +18,29 @@ const flushThreshold = 256 << 10
 // workers complete requests without ever stalling on the network.
 const maxPendingBytes = 32 << 20
 
-// frameWriter batches frame writes through a single flusher goroutine:
-// senders enqueue encoded payloads without blocking, the goroutine
-// writes them through a buffered writer and flushes when the queue goes
-// idle (or after waiting flushEvery for stragglers, when set). Both
-// ends of a connection use one — the server for out-of-order responses,
-// the client for pipelined requests — so a burst of messages costs one
-// syscall, not one per message.
+// maxRetainedBatch bounds the output buffer the flusher keeps for reuse
+// after writing a batch; a larger one (a burst, a huge result) is left
+// to the GC.
+const maxRetainedBatch = 1 << 20
+
+// frameWriter batches frame writes through a single flusher goroutine.
+// Senders encode their frame in place at the end of the pending byte
+// buffer — reserve the 4-byte header, append the payload, patch the
+// length — without blocking; the flusher swaps the pending buffer with
+// its spare and writes the whole batch in one call when it wakes (after
+// waiting flushEvery for stragglers, when set). Both ends of a
+// connection use one — the server for out-of-order responses, the
+// client for pipelined requests — so a burst of messages costs one
+// syscall and no allocation per message.
 //
-// After the underlying writer errors, the goroutine keeps draining the
-// queue without writing, so late senders stay cheap no-ops.
+// After the underlying writer errors, the goroutine keeps discarding
+// batches without writing, so late senders stay cheap no-ops.
 type frameWriter struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   [][]byte
-	pending int // bytes in queue
+	pend    []byte // encoded frames awaiting the flusher
+	spare   []byte // the flusher's previous batch, recycled as pend
+	writing int    // bytes of the batch the flusher is writing
 	closed  bool
 
 	done chan struct{}
@@ -60,37 +68,94 @@ func startFrameWriter(w io.Writer, flushEvery time.Duration) *frameWriter {
 func startFrameWriterCfg(w io.Writer, cfg frameWriterConfig) *frameWriter {
 	fw := &frameWriter{done: make(chan struct{}), cfg: cfg}
 	fw.cond = sync.NewCond(&fw.mu)
-	go fw.loop(w, cfg.flushEvery)
+	go fw.loop(w)
 	return fw
 }
 
 // armDeadline pushes the connection's write deadline ahead of a batch
-// write or flush.
+// write.
 func (fw *frameWriter) armDeadline() {
 	if fw.cfg.conn != nil && fw.cfg.writeTimeout > 0 {
 		_ = fw.cfg.conn.SetWriteDeadline(time.Now().Add(fw.cfg.writeTimeout))
 	}
 }
 
-// send enqueues one encoded payload without blocking. False means the
-// queue is over its byte cap (the peer has stopped draining the
-// connection) or the writer is closed; the caller should drop the
-// connection.
-func (fw *frameWriter) send(payload []byte) bool {
+// begin locks the writer and reserves a frame header at the end of the
+// pending buffer, returning the frame's offset. False (lock released)
+// means the pending bytes are over their cap — the peer has stopped
+// draining the connection — or the writer is closed; the caller should
+// drop the connection.
+func (fw *frameWriter) begin() (start int, ok bool) {
 	fw.mu.Lock()
-	if fw.closed || fw.pending > maxPendingBytes {
+	if fw.closed || len(fw.pend)+fw.writing > maxPendingBytes {
 		fw.mu.Unlock()
-		return false
+		return 0, false
 	}
-	fw.queue = append(fw.queue, payload)
-	fw.pending += len(payload)
+	start = len(fw.pend)
+	fw.pend = append(fw.pend, 0, 0, 0, 0)
+	return start, true
+}
+
+// end patches the length of the frame begun at start, unlocks, and
+// wakes the flusher.
+func (fw *frameWriter) end(start int) {
+	binary.BigEndian.PutUint32(fw.pend[start:], uint32(len(fw.pend)-start-frameHeader))
 	fw.mu.Unlock()
 	fw.cond.Signal()
+}
+
+// send queues one already-encoded payload (a session's cached
+// response, a rare error reply). False as for begin.
+func (fw *frameWriter) send(payload []byte) bool {
+	start, ok := fw.begin()
+	if !ok {
+		return false
+	}
+	fw.pend = append(fw.pend, payload...)
+	fw.end(start)
 	return true
 }
 
-// close stops the flusher after the queue drains. All sends must have
-// completed; callers typically sequence this with a WaitGroup.
+// sendRequest encodes one request frame in place. size is the payload
+// length; a payload over limit is discarded unsent (ok false, size >
+// limit) because the peer would drop the whole connection for it — and
+// a frame over 4 GiB would wrap the length header and desync the
+// stream. ok false with size 0 is begin's failure.
+//
+//doppel:hotpath
+func (fw *frameWriter) sendRequest(id uint64, name string, args []Arg, limit int) (size int, ok bool) {
+	start, ok := fw.begin()
+	if !ok {
+		return 0, false
+	}
+	fw.pend = appendRequest(fw.pend, id, name, args)
+	size = len(fw.pend) - start - frameHeader
+	if size > limit {
+		fw.pend = fw.pend[:start]
+		fw.mu.Unlock()
+		return size, false
+	}
+	fw.end(start)
+	return size, true
+}
+
+// sendResponse encodes one completed request's response frame in place
+// (see appendResult). False as for begin.
+//
+//doppel:hotpath
+func (fw *frameWriter) sendResponse(id uint64, result Arg, err error, limit int) bool {
+	start, ok := fw.begin()
+	if !ok {
+		return false
+	}
+	fw.pend = appendResult(fw.pend, id, result, err, limit)
+	fw.end(start)
+	return true
+}
+
+// close stops the flusher after the pending frames are written. All
+// sends must have completed; callers typically sequence this with a
+// WaitGroup.
 func (fw *frameWriter) close() {
 	fw.mu.Lock()
 	fw.closed = true
@@ -99,67 +164,46 @@ func (fw *frameWriter) close() {
 	<-fw.done
 }
 
-func (fw *frameWriter) loop(w io.Writer, flushEvery time.Duration) {
+func (fw *frameWriter) loop(w io.Writer) {
 	defer close(fw.done)
-	bw := bufio.NewWriterSize(w, 64<<10)
 	broken := false
-	var batch [][]byte
 	for {
 		fw.mu.Lock()
-		for len(fw.queue) == 0 && !fw.closed {
+		for len(fw.pend) == 0 && !fw.closed {
 			fw.cond.Wait()
 		}
-		if len(fw.queue) == 0 {
+		if len(fw.pend) == 0 {
 			fw.mu.Unlock() // closed and drained
-			if !broken {
-				fw.armDeadline()
-				_ = bw.Flush()
-			}
 			return
 		}
-		batch, fw.queue = fw.queue, batch[:0]
+		if fw.cfg.flushEvery > 0 && !fw.closed && !broken && len(fw.pend) < flushThreshold {
+			// Wait briefly for stragglers — the extra latency buys larger
+			// batches under sustained pipelined load.
+			fw.mu.Unlock()
+			time.Sleep(fw.cfg.flushEvery)
+			fw.mu.Lock()
+		}
+		batch := fw.pend
+		fw.pend, fw.spare = fw.spare[:0], nil
+		fw.writing = len(batch)
 		fw.mu.Unlock()
 
-		written := 0
-		fw.armDeadline()
-		for _, p := range batch {
-			if !broken && writeFrame(bw, p) != nil {
+		if !broken {
+			fw.armDeadline()
+			if _, err := w.Write(batch); err != nil {
 				broken = true
 				if fw.cfg.onBroken != nil {
 					fw.cfg.onBroken()
 					fw.cfg.onBroken = nil
 				}
 			}
-			written += len(p)
 		}
+
 		fw.mu.Lock()
-		fw.pending -= written
-		more := len(fw.queue) > 0
+		fw.writing = 0
+		if cap(batch) <= maxRetainedBatch {
+			fw.spare = batch[:0]
+		}
 		fw.mu.Unlock()
-		if broken {
-			continue // keep draining so senders stay no-ops
-		}
-		if more && bw.Buffered() < flushThreshold {
-			continue // batch the next round into the same flush
-		}
-		if !more && flushEvery > 0 {
-			// Idle: wait briefly for stragglers — the extra latency buys
-			// larger batches under sustained pipelined load.
-			time.Sleep(flushEvery)
-			fw.mu.Lock()
-			more = len(fw.queue) > 0
-			fw.mu.Unlock()
-			if more && bw.Buffered() < flushThreshold {
-				continue
-			}
-		}
-		fw.armDeadline()
-		if bw.Flush() != nil {
-			broken = true
-			if fw.cfg.onBroken != nil {
-				fw.cfg.onBroken()
-				fw.cfg.onBroken = nil
-			}
-		}
 	}
 }
