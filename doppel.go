@@ -92,8 +92,9 @@ type Stats struct {
 	MergeFailures uint64
 	// StashDropped counts stashed transactions the drain abandoned after
 	// its replay cap (over a million consecutive conflict aborts — a
-	// pathological livelock). Non-zero means an accepted transaction was
-	// never executed; each worker also logs the first drop it makes.
+	// pathological livelock). Each dropped transaction never executed:
+	// its Exec, ExecAsync or Cluster.Exec call completes with a non-nil
+	// error saying so, and each worker also logs the first drop it makes.
 	StashDropped uint64
 	// FenceAborts counts attempts that yielded to a cross-shard commit
 	// fence: the transaction touched a key an in-flight cross-shard
@@ -137,17 +138,16 @@ type RecoveryStats struct {
 // DB is a Doppel database with its own worker goroutines. All methods
 // are safe for concurrent use.
 type DB struct {
-	eng         *core.DB
-	redo        *wal.Logger
-	redoDir     string
-	ckpt        *checkpoint.Checkpointer
-	walFailStop bool
-	syncCommit  bool
-	recovery    RecoveryStats
-	queues      []chan *request
-	wg          sync.WaitGroup
-	stopped     atomic.Bool
-	next        atomic.Uint64
+	eng        *core.DB
+	redo       *wal.Logger
+	redoDir    string
+	ckpt       *checkpoint.Checkpointer
+	syncCommit bool
+	recovery   RecoveryStats
+	queues     []chan *request
+	wg         sync.WaitGroup
+	stopped    atomic.Bool
+	next       atomic.Uint64
 
 	scrubStop chan struct{}
 	scrubWG   sync.WaitGroup
@@ -163,19 +163,30 @@ type DB struct {
 // ExecContext abandons its request to the GC instead, because the
 // worker may still complete it.
 type request struct {
+	db     *DB
+	w      int // the worker that runs it
 	fn     TxFunc
 	submit int64
 	done   chan error      // synchronous completion (Exec); capacity 1
 	cb     func(error)     // asynchronous completion (ExecAsync); nil for Exec
 	ctx    context.Context // nil means not cancellable (Exec, ExecAsync)
+	// complete is finish bound once, when the request was first pooled;
+	// the engine calls it with the transaction's outcome.
+	complete func(error)
 }
 
-var requestPool = sync.Pool{New: func() any { return &request{done: make(chan error, 1)} }}
+var requestPool sync.Pool
 
-// newRequest takes a request from the pool and binds fn to it.
-func newRequest(fn TxFunc) *request {
-	req := requestPool.Get().(*request)
-	req.fn = fn
+// newRequest takes a request from the pool, binds fn to it and picks
+// the worker that will run it.
+func (db *DB) newRequest(fn TxFunc) *request {
+	req, _ := requestPool.Get().(*request)
+	if req == nil {
+		req = &request{done: make(chan error, 1)}
+		req.complete = req.finish
+	}
+	req.db, req.fn = db, fn
+	req.w = int(db.next.Add(1)) % len(db.queues)
 	req.submit = time.Now().UnixNano()
 	return req
 }
@@ -183,15 +194,20 @@ func newRequest(fn TxFunc) *request {
 // recycle returns a finished request to the pool. The caller must be
 // its last user: the worker for ExecAsync, the submitter for Exec.
 func (req *request) recycle() {
-	req.fn, req.cb, req.ctx = nil, nil, nil
+	req.db, req.fn, req.cb, req.ctx = nil, nil, nil, nil
 	requestPool.Put(req)
 }
 
 // finish reports the request's outcome through whichever completion
-// mechanism the submitter chose. An asynchronous request is recycled
-// before its callback runs, so the callback may submit again without
-// growing the pool.
+// mechanism the submitter chose. Under SyncCommit a commit is first
+// held until its redo record is durable (after a stash drain, the first
+// completion's wait covers the rest). An asynchronous request is
+// recycled before its callback runs, so the callback may submit again
+// without growing the pool.
 func (req *request) finish(err error) {
+	if db := req.db; err == nil && db.syncCommit {
+		err = db.waitDurableCommit(req.w)
+	}
 	if cb := req.cb; cb != nil {
 		req.recycle()
 		cb(err)
@@ -283,11 +299,10 @@ func openInto(opts Options, st *store.Store) (*DB, error) {
 		cfg.WALFailStop = opts.WALFailStop
 	}
 	db := &DB{
-		eng:         core.Open(st, cfg),
-		redo:        redo,
-		walFailStop: cfg.WALFailStop,
-		syncCommit:  opts.SyncCommit && redo != nil,
-		queues:      make([]chan *request, workers),
+		eng:        core.Open(st, cfg),
+		redo:       redo,
+		syncCommit: opts.SyncCommit && redo != nil,
+		queues:     make([]chan *request, workers),
 	}
 	if redo != nil {
 		db.redoDir = opts.RedoLog
@@ -309,228 +324,39 @@ func openInto(opts Options, st *store.Store) (*DB, error) {
 	return db, nil
 }
 
-// fenceSpinBudget bounds how long run retries a fence-aborted
-// transaction inline before parking it with the worker loop. Fences
-// release in microseconds — unless the releasing apply transaction is
-// queued behind this very request, which is why the budget must be
-// small and the request must come off the worker's critical path.
-const fenceSpinBudget = 100 * time.Microsecond
-
-// worker drives one engine worker: it executes submitted transactions,
-// retries conflict aborts with backoff, and polls the engine between
-// requests so phase transitions keep moving even when idle.
-//
-// Requests that keep aborting on a cross-shard commit fence are parked
-// in the deferred list rather than retried in place: the fence releases
-// only after the owning cross-shard commit's apply transactions run,
-// and one of those may be waiting in this worker's own queue — blocking
-// on the fence would deadlock the shard. While anything is parked the
-// worker drains its queue without blocking and retries the parked work
-// between requests.
+// worker drives one engine worker: it runs each submitted request
+// through the engine and polls between requests so phase transitions
+// keep moving, and stashed or fence-blocked transactions retry, even
+// when idle. Once the queue is closed it keeps polling until the
+// engine's stash is empty, so every request still waiting there — for
+// the next joined phase, or for a fence released by another worker's
+// cross-shard apply — is replayed and completed before Close returns.
 func (db *DB) worker(w int) {
 	defer db.wg.Done()
 	q := db.queues[w]
 	idle := time.NewTicker(200 * time.Microsecond)
 	defer idle.Stop()
-	var (
-		deferred []*request // fence-parked, re-run between requests
-		stashed  []*request // in the engine stash, finish when it drains
-	)
 	for {
-		if len(deferred) > 0 || len(stashed) > 0 {
-			select {
-			case req, ok := <-q:
-				if !ok {
-					db.finishParked(w, deferred, stashed)
-					return
-				}
-				switch db.run(w, req) {
-				case runParked:
-					deferred = append(deferred, req)
-				case runStashed:
-					stashed = append(stashed, req)
-				}
-			default:
-				db.eng.Poll(w)
-				time.Sleep(20 * time.Microsecond)
-			}
-			keep := deferred[:0]
-			for _, req := range deferred {
-				switch db.run(w, req) {
-				case runParked:
-					keep = append(keep, req)
-				case runStashed:
-					stashed = append(stashed, req)
-				}
-			}
-			deferred = keep
-			// A drained stash means every stashed transaction replayed
-			// (the joined phase arrived and no fence re-stashed them), so
-			// their callers can be acknowledged.
-			if len(stashed) > 0 && db.eng.StashLen(w) == 0 {
-				for _, req := range stashed {
-					db.finishStashed(w, req)
-				}
-				stashed = nil
-			}
-			continue
-		}
 		select {
 		case req, ok := <-q:
 			if !ok {
+				for db.eng.Pending(w) > 0 {
+					db.eng.Poll(w)
+					time.Sleep(20 * time.Microsecond)
+				}
 				return
 			}
-			switch db.run(w, req) {
-			case runParked:
-				deferred = append(deferred, req)
-			case runStashed:
-				stashed = append(stashed, req)
+			// A request cancelled while it waited in the queue never
+			// executes (the ExecContext contract); the caller has already
+			// returned, so the completion lands in the buffered done
+			// channel unread.
+			if req.ctx != nil && req.ctx.Err() != nil {
+				req.finish(req.ctx.Err())
+				continue
 			}
+			db.eng.Run(w, req.fn, req.submit, req.complete)
 		case <-idle.C:
 			db.eng.Poll(w)
-		}
-	}
-}
-
-// finishParked completes parked and stashed requests at shutdown. The
-// fences the parked requests wait on are released by cross-shard
-// applies draining on the other workers' queues (this worker's own
-// queue is already empty), or by the router's failure-path cleanup; the
-// stash drains when the still-running coordinator starts the next
-// joined phase — so both loops terminate.
-func (db *DB) finishParked(w int, deferred, stashed []*request) {
-	for _, req := range deferred {
-	retry:
-		for {
-			switch db.run(w, req) {
-			case runDone:
-				break retry
-			case runStashed:
-				stashed = append(stashed, req)
-				break retry
-			case runParked:
-				db.eng.Poll(w)
-				time.Sleep(20 * time.Microsecond)
-			}
-		}
-	}
-	for db.eng.StashLen(w) > 0 {
-		db.eng.Poll(w)
-		time.Sleep(20 * time.Microsecond)
-	}
-	for _, req := range stashed {
-		db.finishStashed(w, req)
-	}
-}
-
-// finishStashed acknowledges a request whose transaction went through
-// the worker's stash, after the stash has drained.
-func (db *DB) finishStashed(w int, req *request) {
-	// Fail-stop: if the redo logger died, the drain may have refused
-	// (and dropped) this stashed transaction instead of executing it —
-	// acknowledging success here would violate the fail-stop contract.
-	// Report the logger failure; a transaction that in fact replayed
-	// just before the death gets a conservative error for a commit whose
-	// durability is unknown anyway.
-	if db.walFailStop {
-		if err := db.redo.Err(); err != nil {
-			req.finish(fmt.Errorf("doppel: redo log failed, stashed transaction dropped: %w", err))
-			return
-		}
-	}
-	// The stashed transaction replayed during the drain, so the worker's
-	// newest redo LSN covers it (or an earlier record — waiting on that
-	// is merely conservative).
-	if db.syncCommit {
-		if err := db.waitDurableCommit(w); err != nil {
-			req.finish(err)
-			return
-		}
-	}
-	req.finish(nil)
-}
-
-// runResult says what the worker loop must do with a request after one
-// run call.
-type runResult int
-
-const (
-	// runDone: the request finished (committed, aborted with the user's
-	// error, or was cancelled); nothing further to do.
-	runDone runResult = iota
-	// runParked: the request kept aborting on a commit fence past its
-	// inline spin budget — retry it later without blocking the worker.
-	runParked
-	// runStashed: the transaction was stashed for the next joined phase;
-	// finish the request (finishStashed) once this worker's stash
-	// drains. The worker MUST keep servicing its queue meanwhile: the
-	// stash can be pinned by a commit fence whose owning cross-shard
-	// apply is queued behind this very request, so blocking here until
-	// the stash drains deadlocks the shard.
-	runStashed
-)
-
-// run executes one request until it completes, parks, or stashes; see
-// runResult for what each outcome requires of the caller.
-func (db *DB) run(w int, req *request) runResult {
-	// A request cancelled while it waited in the queue never executes
-	// (the ExecContext contract); the caller has already returned, so
-	// the completion send lands in the buffered done channel unread.
-	if req.ctx != nil {
-		select {
-		case <-req.ctx.Done():
-			req.finish(req.ctx.Err())
-			return runDone
-		default:
-		}
-	}
-	backoff := time.Microsecond
-	var fenceDeadline time.Time
-	for {
-		out, err := db.eng.Attempt(w, req.fn, req.submit)
-		switch out {
-		case engine.Committed:
-			if db.syncCommit {
-				if err := db.waitDurableCommit(w); err != nil {
-					req.finish(err)
-					return runDone
-				}
-			}
-			req.finish(nil)
-			return runDone
-		case engine.Stashed:
-			// The transaction accessed split data incompatibly and was
-			// stashed; it will re-execute during the next joined phase.
-			// The caller's acknowledgement waits until this worker's
-			// stash drains — that wait, up to a phase length, is the
-			// read-latency cost the paper's Table 3 and Figure 13
-			// measure — but the worker itself must not: it keeps
-			// executing its queue (the paper's point of the split phase)
-			// and finishes this request from the loop once the stash is
-			// empty.
-			return runStashed
-		case engine.UserAbort:
-			req.finish(err)
-			return runDone
-		case engine.Paused:
-			db.eng.Poll(w)
-		case engine.AbortedFenced:
-			// Yielding to a cross-shard commit fence. Spin briefly — the
-			// owning commit usually applies within microseconds — but
-			// never past the budget: its apply transaction may be queued
-			// behind this request on this very worker.
-			if fenceDeadline.IsZero() {
-				fenceDeadline = time.Now().Add(fenceSpinBudget)
-			} else if time.Now().After(fenceDeadline) {
-				return runParked
-			}
-			db.eng.Poll(w)
-			time.Sleep(5 * time.Microsecond)
-		case engine.Aborted:
-			time.Sleep(backoff)
-			if backoff < time.Millisecond {
-				backoff *= 2
-			}
 		}
 	}
 }
@@ -556,10 +382,13 @@ func (db *DB) waitDurableCommit(w int) error {
 }
 
 // Exec runs fn as a serializable transaction and returns once it has
-// committed (or has been durably accepted for commit in the next joined
-// phase, when the transaction was stashed). A non-nil return is fn's own
-// error; conflicts are retried internally. Exec is exactly
-// ExecContext(context.Background(), fn).
+// committed. A transaction stashed during a split phase returns after
+// its replay in the next joined phase. A non-nil return is fn's own
+// error (from whichever run decided the outcome), the redo log's
+// failure under WALFailStop or SyncCommit, or the error of a stashed
+// transaction dropped after a replay livelock (see
+// Stats.StashDropped); conflicts are retried internally. Exec is
+// exactly ExecContext(context.Background(), fn).
 func (db *DB) Exec(fn TxFunc) error {
 	return db.ExecContext(context.Background(), fn)
 }
@@ -577,19 +406,18 @@ func (db *DB) ExecContext(ctx context.Context, fn TxFunc) error {
 	if db.stopped.Load() {
 		return ErrClosed
 	}
-	req := newRequest(fn)
-	w := int(db.next.Add(1)) % len(db.queues)
+	req := db.newRequest(fn)
 	if ctx.Done() == nil {
 		// Not cancellable (context.Background()): plain channel operations
 		// keep the hot path free of selectgo.
-		db.queues[w] <- req
+		db.queues[req.w] <- req
 		err := <-req.done
 		req.recycle()
 		return err
 	}
 	req.ctx = ctx
 	select {
-	case db.queues[w] <- req:
+	case db.queues[req.w] <- req:
 	case <-ctx.Done():
 		req.recycle() // never queued
 		return ctx.Err()
@@ -620,21 +448,9 @@ func (db *DB) ExecAsync(fn TxFunc, done func(error)) {
 		done(ErrClosed)
 		return
 	}
-	req := newRequest(fn)
+	req := db.newRequest(fn)
 	req.cb = done
-	w := int(db.next.Add(1)) % len(db.queues)
-	db.queues[w] <- req
-}
-
-// ExecWait is Exec for callers that need the stashed-transaction commit
-// to have happened before return: it re-submits a no-op read after fn to
-// ensure a joined phase has passed. Reads of split data already behave
-// this way naturally.
-func (db *DB) ExecWait(fn TxFunc) error {
-	if err := db.Exec(fn); err != nil {
-		return err
-	}
-	return db.Exec(func(tx Tx) error { return nil })
+	db.queues[req.w] <- req
 }
 
 // Checkpoint forces a checkpoint now: a consistent snapshot is written
@@ -774,8 +590,8 @@ func (db *DB) Stats() Stats {
 }
 
 // Close stops the workers, reconciles outstanding per-core slices and
-// commits any stashed transactions. The database must not be used after
-// Close.
+// completes every queued, stashed or fence-blocked transaction. The
+// database must not be used after Close.
 func (db *DB) Close() {
 	if db.stopped.Swap(true) {
 		return

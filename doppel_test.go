@@ -74,10 +74,11 @@ func TestConcurrentCounterWithHint(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Reads of split data stash and commit in the next joined phase;
-	// ExecWait guarantees the read observed a fully reconciled value.
+	// A read of split data stashes and replays in the next joined phase;
+	// Exec returns after that replay, so the read observed a fully
+	// reconciled value.
 	var final int64
-	err := db.ExecWait(func(tx Tx) error {
+	err := db.Exec(func(tx Tx) error {
 		n, err := tx.GetInt("ctr")
 		final = n
 		return err
@@ -122,7 +123,7 @@ func TestAutoSplitUnderRealContention(t *testing.T) {
 	// this machine; the invariant that must always hold is conservation:
 	// every accepted Add is reflected exactly once.
 	var total int64
-	if err := db.ExecWait(func(tx Tx) error {
+	if err := db.Exec(func(tx Tx) error {
 		n, err := tx.GetInt("hot")
 		total = n
 		return err

@@ -114,7 +114,7 @@ func runScript(t *testing.T, e engine.Engine, steps []scriptStep, cyclePhases *c
 					t.Fatalf("step %d stashed on a non-Doppel engine", i)
 				}
 				cyclePhases.RequestJoinedPhase()
-				for cyclePhases.StashLen(0) > 0 {
+				for cyclePhases.Pending(0) > 0 {
 					e.Poll(0)
 				}
 				break

@@ -118,15 +118,49 @@ func (db *DB) Workers() int { return len(db.workers) }
 // WorkerStats implements engine.Engine.
 func (db *DB) WorkerStats(w int) *metrics.TxnStats { return db.workers[w].stats }
 
-// Attempt implements engine.Engine.
+// Attempt implements engine.Engine. The engine replays a stashed
+// transaction itself without reporting the outcome; an AbortedFenced
+// transaction is the caller's to retry.
 func (db *DB) Attempt(w int, fn engine.TxFunc, submitNanos int64) (engine.Outcome, error) {
-	return db.workers[w].attempt(fn, submitNanos)
+	return db.workers[w].attempt(fn, submitNanos, nil)
+}
+
+// Run executes fn as worker w and calls done exactly once with its
+// outcome: nil on commit, the body's own error, the fail-stop logger
+// error, or the livelock-drop error. Conflict aborts retry in place
+// with exponential backoff. A transaction that touches split data
+// incompatibly or yields to a commit fence goes into the worker's stash
+// and Run returns; a later Run or Poll on worker w completes it after
+// the replay. Run must be called from the goroutine driving worker w.
+//
+//doppel:hotpath
+func (db *DB) Run(w int, fn engine.TxFunc, submitNanos int64, done func(error)) {
+	wk := db.workers[w]
+	backoff := time.Microsecond
+	for {
+		out, err := wk.attempt(fn, submitNanos, done)
+		switch out {
+		case engine.Committed, engine.UserAbort:
+			done(err)
+			return
+		case engine.Stashed:
+			return
+		case engine.AbortedFenced:
+			wk.push(stashedTxn{fn: fn, submit: submitNanos, done: done, fence: true})
+			return
+		case engine.Aborted:
+			time.Sleep(backoff)
+			if backoff < time.Millisecond {
+				backoff *= 2
+			}
+		}
+	}
 }
 
 // Poll implements engine.Engine: the worker participates in any pending
-// phase transition and retries stashed transactions if a joined phase
-// has begun.
-func (db *DB) Poll(w int) { db.workers[w].poll() }
+// phase transition, replays its stash if a joined phase has begun, and
+// retries fence-blocked transactions.
+func (db *DB) Poll(w int) { db.workers[w].step() }
 
 // Phase returns the current global phase.
 func (db *DB) Phase() Phase { return Phase(db.phase.Load()) }
@@ -168,17 +202,17 @@ func (db *DB) SplitKeys() []string {
 // PhaseChanges returns how many phase transitions have completed.
 func (db *DB) PhaseChanges() uint64 { return db.phaseChanges.Load() }
 
-// StashLen reports how many transactions worker w currently has stashed
-// awaiting the next joined phase. It must be called from the goroutine
-// that drives worker w.
-func (db *DB) StashLen(w int) int { return len(db.workers[w].stash) }
+// Pending reports how many transactions worker w holds in its stash,
+// waiting for the next joined phase or for a fence to release. It must
+// be called from the goroutine that drives worker w.
+func (db *DB) Pending(w int) int { return len(db.workers[w].stash) }
 
 // RedoLSN reports the log sequence number of worker w's newest redo
 // append — what a caller that wants commit-then-durable semantics must
 // WaitDurable on after Attempt returns Committed. It is the max-LSN
 // sentinel when the worker's last append was refused by a terminally
 // failed logger (waiting on it reports the terminal error), and 0 when
-// the worker has never logged. Like StashLen it must be called from
+// the worker has never logged. Like Pending it must be called from
 // the goroutine that drives worker w.
 func (db *DB) RedoLSN(w int) uint64 { return db.workers[w].redoLSN }
 
@@ -439,6 +473,7 @@ func (db *DB) quiesce() {
 	// Joined phase now: drain every worker's stash.
 	for _, w := range db.workers {
 		w.drainStash()
+		w.step()
 	}
 }
 

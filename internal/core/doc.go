@@ -8,16 +8,39 @@
 //
 // # The phase-transition protocol
 //
-// The engine is driven through the engine.Engine interface: worker w
-// must be driven from a single goroutine that calls Attempt/Poll
-// regularly so the worker can participate in phase transitions. The
-// coordinator goroutine only proposes transitions (publishing one
-// in-flight *transition at a time); workers notice it between
+// Worker w must be driven from a single goroutine that calls Run (or
+// engine.Engine's Attempt) and Poll regularly so the worker can
+// participate in phase transitions. The coordinator goroutine only
+// proposes transitions (publishing one in-flight *transition at a
+// time); workers notice it between
 // transactions, perform their pre-transition duty — reconciling their
 // slices when leaving a split phase — and acknowledge. The last
 // acknowledger installs the new phase and releases everyone (§5.4).
 // Consequently every transaction executes entirely within one phase,
 // and no commit is ever in flight while a transition completes.
+//
+// # The stash
+//
+// Each worker has one retry queue, its stash. An entry holds a
+// transaction, the completion its outcome goes to, and a retry reason:
+//
+//   - next joined phase: the transaction touched split data with an
+//     operation other than the key's selected one (§5.2). Every entry
+//     replays when the worker enters a joined phase (§5.4), before it
+//     runs anything else; conflict aborts retry in place, up to a
+//     livelock cap.
+//   - fence released: the transaction yielded to a cross-shard commit
+//     fence. It retries once per poll and between transactions, in any
+//     phase, never in a loop: the apply transaction that releases the
+//     fence may be queued behind it on the same worker.
+//
+// An entry leaves the stash only with an outcome, which reaches its
+// completion exactly once: nil on commit, the body's own error, the
+// fail-stop logger error, or a livelock-drop error (counted in
+// StashDropped). Completions are called after the drain or retry round
+// that produced them, outside checkPhase, because a completion may
+// re-enter the engine. Run fills the stash with completions; Attempt
+// callers (the OCC/2PL/atomic comparison harness) leave them nil.
 //
 // # Barriers and durability
 //

@@ -25,12 +25,27 @@ const workerIDMask = 0xff
 // opCounts is a per-key, per-operation conflict/stash counter.
 type opCounts [opKindCount]uint32
 
-// stashedTxn is a transaction saved during a split phase for re-execution
-// in the next joined phase (§5.2).
+// stashedTxn is one entry of the worker's retry queue (see doc.go, "The
+// stash"): a transaction that could not finish when it ran, the
+// completion its outcome goes to (nil for engine.Attempt callers), and
+// its retry reason — the next joined phase, or with fence set, the
+// release of a cross-shard commit fence.
 type stashedTxn struct {
 	fn     engine.TxFunc
 	submit int64
+	done   func(error)
+	fence  bool
 }
+
+// completion is a finished replay whose done has not been called yet.
+type completion struct {
+	done func(error)
+	err  error
+}
+
+// errStashDropped completes a stashed transaction the drain abandoned
+// after its replay cap.
+var errStashDropped = errors.New("core: stashed transaction dropped after over a million conflicting replays (livelock)")
 
 // sliceState is one per-core slice: the accumulated value for one split
 // record on one worker (§4). val == nil is the operation's identity.
@@ -52,13 +67,19 @@ type Worker struct {
 	ackedEpoch      uint64 // highest transition epoch acknowledged
 	seenEpoch       uint64 // highest completed epoch whose entry work ran
 	slices          []sliceState
-	stash           []stashedTxn
 	tx              Tx
 	sampleTick      int
 	stashTick       int
-	maxStashLen     int
 	loggedMergeFail bool // first reconcile merge failure already logged
 	loggedStashDrop bool // first dropped stashed transaction already logged
+
+	// The retry queue. fenced counts its fence entries, so retryFenced
+	// is one comparison when there are none. ready[readyAt:] holds
+	// finished replays whose completions step has not called yet.
+	stash   []stashedTxn
+	fenced  int
+	ready   []completion
+	readyAt int
 
 	// Redo-record encode scratch, reused across commits and reconcile
 	// merges. All four are written only on this worker's goroutine; the
@@ -230,65 +251,146 @@ func (w *Worker) resetSlices(set *splitSet) {
 	w.slices = make([]sliceState, set.size())
 }
 
-// drainStash re-executes stashed transactions during a joined phase.
-// The phase cannot change underneath the drain because this worker has
-// not acknowledged any new transition.
+// drainStash replays every stashed transaction at the start of a joined
+// phase (§5.4). The phase cannot change underneath the drain because
+// this worker has not acknowledged any new transition.
 func (w *Worker) drainStash() {
 	if len(w.stash) == 0 {
 		return
 	}
 	pending := w.stash
-	w.stash = nil
+	w.stash, w.fenced = nil, 0
 	for _, s := range pending {
-		for attempt := 0; ; attempt++ {
-			// The stash itself was already counted (Stashed); the first
-			// replay is the transaction's normal completion, so only
-			// attempts beyond it count as retries — otherwise a stashed
-			// transaction that commits immediately would still report one.
-			if attempt > 0 {
-				w.stats.Retries++
+		w.replay(s)
+	}
+}
+
+// replay re-executes one stashed transaction during a joined phase,
+// retrying conflict aborts in place.
+func (w *Worker) replay(s stashedTxn) {
+	for attempt := 0; ; attempt++ {
+		// The stash itself was already counted (Stashed); the first
+		// replay is the transaction's normal completion, so only attempts
+		// beyond it count as retries — otherwise a stashed transaction
+		// that commits immediately would still report one.
+		if attempt > 0 {
+			w.stats.Retries++
+		}
+		out, err := w.execOnce(s.fn, s.submit)
+		switch out {
+		case engine.Committed, engine.UserAbort:
+			w.complete(s.done, err)
+			return
+		case engine.AbortedFenced, engine.Stashed:
+			// Never wait for a fence here: its owner, a cross-shard apply
+			// transaction, may be queued behind this very drain.
+			s.fence = out == engine.AbortedFenced
+			w.push(s)
+			return
+		}
+		if attempt > 1<<20 {
+			// Pathological livelock: drop the transaction after counting
+			// its aborts, but never silently — the loss is visible in
+			// Stats, logged once per worker, and reported to the
+			// transaction's completion.
+			w.stats.StashDropped++
+			if !w.loggedStashDrop {
+				w.loggedStashDrop = true
+				log.Printf("doppel: worker %d: dropped a stashed transaction after %d failed replays (livelock); counting further drops in stats only", w.id, attempt)
 			}
-			out, _ := w.execOnce(s.fn, s.submit)
-			if out == engine.Committed || out == engine.UserAbort {
-				break
-			}
-			if out == engine.AbortedFenced {
-				// The fence's owner — a cross-shard apply transaction — may
-				// be queued behind this very drain on this worker, so
-				// spinning here could wait forever for a fence only we can
-				// release. Put the transaction back in the stash and move
-				// on; a later drain retries it after the fence clears.
-				w.stash = append(w.stash, s)
-				break
-			}
-			if attempt > 1<<20 {
-				// Pathological livelock: drop the transaction after
-				// counting its aborts, but never silently — the loss is
-				// visible in Stats and logged once per worker.
-				w.stats.StashDropped++
-				if !w.loggedStashDrop {
-					w.loggedStashDrop = true
-					log.Printf("doppel: worker %d: dropped a stashed transaction after %d failed replays (livelock); counting further drops in stats only", w.id, attempt)
-				}
-				break
-			}
+			w.complete(s.done, errStashDropped)
+			return
 		}
 	}
 }
 
-// attempt implements one engine.Attempt call for this worker.
-func (w *Worker) attempt(fn engine.TxFunc, submitNanos int64) (engine.Outcome, error) {
-	if !w.checkPhase() {
+// retryFenced retries each fence-blocked transaction once. An entry
+// that still fails keeps its place; one that now hits split data waits
+// for the next joined phase instead.
+func (w *Worker) retryFenced() {
+	if w.fenced == 0 {
+		return
+	}
+	keep := w.stash[:0]
+	for _, s := range w.stash {
+		if s.fence {
+			out, err := w.execOnce(s.fn, s.submit)
+			if out == engine.Committed || out == engine.UserAbort {
+				w.fenced--
+				w.complete(s.done, err)
+				continue
+			}
+			if out == engine.Stashed {
+				w.fenced--
+				s.fence = false
+			}
+		}
+		keep = append(keep, s)
+	}
+	clear(w.stash[len(keep):])
+	w.stash = keep
+}
+
+// push appends s to the retry queue.
+func (w *Worker) push(s stashedTxn) {
+	if s.fence {
+		w.fenced++
+	}
+	w.stash = append(w.stash, s)
+}
+
+// complete queues a replay's outcome for delivery by step.
+func (w *Worker) complete(done func(error), err error) {
+	if done != nil {
+		w.ready = append(w.ready, completion{done, err})
+	}
+}
+
+// step performs the worker's duties between transactions: it takes part
+// in any phase transition (draining the stash when a joined phase
+// begins), retries fence-blocked transactions, and then calls the
+// completions those replays produced. It reports whether the worker may
+// execute a transaction now. A completion may re-enter the engine (a
+// SyncCommit acknowledgement polls while it waits for reconciliation),
+// so completions run outside checkPhase, one entry at a time so a
+// nested step continues the round, and the phase is checked again
+// after each round.
+func (w *Worker) step() bool {
+	for {
+		ok := w.checkPhase()
+		if ok {
+			w.retryFenced()
+		}
+		if w.readyAt == len(w.ready) {
+			return ok
+		}
+		for w.readyAt < len(w.ready) {
+			c := w.ready[w.readyAt]
+			w.ready[w.readyAt] = completion{}
+			w.readyAt++
+			c.done(c.err)
+		}
+		w.ready, w.readyAt = w.ready[:0], 0
+	}
+}
+
+// attempt runs fn once as this worker; a stash entry it creates reports
+// to done.
+func (w *Worker) attempt(fn engine.TxFunc, submitNanos int64, done func(error)) (engine.Outcome, error) {
+	if !w.step() {
 		return engine.Paused, nil
 	}
 	w.attemptsWindow.Add(1)
-	return w.execOnce(fn, submitNanos)
+	out, err := w.execOnce(fn, submitNanos)
+	if out == engine.Stashed {
+		w.push(stashedTxn{fn: fn, submit: submitNanos, done: done})
+	}
+	return out, err
 }
 
-// poll participates in phase transitions without running a transaction.
-func (w *Worker) poll() { w.checkPhase() }
-
-// execOnce runs fn once in the current phase and classifies the outcome.
+// execOnce runs fn once in the current phase and classifies the
+// outcome. A Stashed outcome is counted here; queueing the transaction
+// is the caller's job.
 func (w *Worker) execOnce(fn engine.TxFunc, submitNanos int64) (engine.Outcome, error) {
 	// Fail-stop: once the redo logger is terminally dead, new
 	// transactions must not keep acknowledging as durable. Failed() is
@@ -301,10 +403,6 @@ func (w *Worker) execOnce(fn engine.TxFunc, submitNanos int64) (engine.Outcome, 
 	err := fn(tx)
 	switch {
 	case errors.Is(err, engine.ErrStash):
-		w.stash = append(w.stash, stashedTxn{fn, submitNanos})
-		if len(w.stash) > w.maxStashLen {
-			w.maxStashLen = len(w.stash)
-		}
 		w.stats.Stashed++
 		w.stashedPhase.Add(1)
 		return engine.Stashed, nil

@@ -93,7 +93,7 @@ type Outcome uint8
 const (
 	Committed Outcome = iota // transaction committed
 	Aborted                  // conflict; caller should retry with backoff
-	Stashed                  // Doppel stashed it; engine will retry it itself
+	Stashed                  // Doppel stashed it and replays it itself in the next joined phase
 	UserAbort                // the TxFunc returned its own error
 	Paused                   // engine busy with a phase transition; fn did not run
 	// AbortedFenced is Aborted's commit-fence flavor: the transaction
@@ -101,9 +101,9 @@ const (
 	// caller should retry, but must not spin on the worker indefinitely —
 	// the fence releases only when the cross-shard commit's apply
 	// transactions (which may be queued behind this very worker) have
-	// run, so a blocked retry loop can deadlock the shard. Callers park
-	// the transaction off the worker queue instead (see doppel's
-	// deferred-retry lane).
+	// run, so a blocked retry loop can deadlock the shard. Doppel's
+	// core.DB.Run handles it by keeping the transaction in the worker's
+	// stash and retrying it between transactions.
 	AbortedFenced
 )
 

@@ -69,7 +69,8 @@
 // foreign fence aborts with engine.AbortedFenced and retries once the
 // fence releases (microseconds — but the retry must not block the
 // shard's worker loop, because the releasing apply transaction may be
-// queued behind it; doppel parks such requests off the queue).
+// queued behind it; the shard worker keeps such a transaction in its
+// stash and retries it between requests and on every idle poll).
 //
 // The record lock orders fence publication against in-flight
 // committers: prepare reads its validation snapshot inside the lock

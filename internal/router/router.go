@@ -154,16 +154,15 @@ func (r *Router) ExecContext(ctx context.Context, fn engine.TxFunc) error {
 		// pooled (or even read) safely. Abandon it to the GC.
 		return err
 	}
-	foreign := rc.check.foreign
 	rc.release()
 	switch {
-	case err == nil && !foreign:
+	case err == nil:
 		r.stats.SingleShard.Add(1)
 		return nil
-	case errors.Is(err, errCrossShard) || foreign:
-		// foreign with err == nil happens when the attempt was stashed
-		// and the foreign access was discovered during the stash drain,
-		// whose replay errors the engine drops.
+	case errors.Is(err, errCrossShard):
+		// The body touched another shard's key, on its first run or on
+		// the replay of a stashed attempt: the engine reports a replay's
+		// outcome like any other, so errCrossShard is always the signal.
 		r.stats.Reroutes.Add(1)
 		return r.execCross(ctx, fn)
 	default:

@@ -51,13 +51,12 @@ func newRoutedCall(r *Router) *routedCall {
 //doppel:hotpath
 func (rc *routedCall) finish(err error) {
 	r, fn, done := rc.r, rc.fn, rc.done
-	foreign := rc.check.foreign
 	rc.release()
 	switch {
-	case err == nil && !foreign:
+	case err == nil:
 		r.stats.SingleShard.Add(1)
 		done(nil)
-	case errors.Is(err, errCrossShard) || foreign:
+	case errors.Is(err, errCrossShard):
 		r.stats.Reroutes.Add(1)
 		r.crossAsync(fn, done)
 	default:
@@ -139,8 +138,8 @@ func (p *probeTx) WorkerID() int { return -1 }
 
 // checkTx wraps a shard's engine.Tx, vetoing any operation whose key
 // another shard owns. The veto sets foreign and starves the body with
-// errCrossShard; whether that error makes it back through the engine or
-// is swallowed by a stash drain, the router reads foreign afterwards.
+// errCrossShard; routedCall.run returns errCrossShard whenever foreign
+// is set, even if the body swallowed the error.
 type checkTx struct {
 	r       *Router
 	inner   engine.Tx
